@@ -11,7 +11,10 @@ them:
   fetch-heavy synthetic run);
 * lock handoff (host microseconds per acquire in a contended
   lock-ping-pong synthetic run);
-* an end-to-end FFT slice under the fault-tolerant protocol.
+* an end-to-end FFT slice under the fault-tolerant protocol;
+* exact engine events per NIC message on fixed deposit and fetch
+  streams between two nodes (a deterministic work count, gated on any
+  increase).
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_hotpaths.py``)
 or as a pytest smoke test (``-k hotpaths``); the smoke test uses
@@ -304,6 +307,40 @@ def bench_fft_slice(scale: str = "test") -> dict:
             "diff_messages": result.counters.total.diff_messages}
 
 
+def _message_stream(kind: str, count: int = 32) -> dict:
+    """Engine events per NIC message on a fixed stream from node 0 to
+    node 1 of an otherwise idle 2-node cluster (default parameters,
+    memory-bus contention on). ``deposit`` posts asynchronous deposits
+    of mixed sizes; ``fetch`` issues synchronous fetches, a request and
+    a reply message each. Host-side post charges and wakeups count too,
+    so the figure is the whole cost of one message to the engine."""
+    from repro.cluster import Cluster
+    from repro.config import ClusterConfig
+
+    cluster = Cluster(ClusterConfig(num_nodes=2, seed=7))
+    vmmc = cluster.node(0).vmmc
+    cluster.node(1).regions.export("buf", PAGE_SIZE)
+
+    def stream():
+        for i in range(count):
+            size = 64 * (i % 8 + 1)
+            if kind == "deposit":
+                yield from vmmc.remote_deposit(1, "buf", 0, b"d" * size)
+            else:
+                yield from vmmc.remote_fetch(1, "buf", 0, size)
+
+    cluster.engine.spawn(stream())
+    cluster.engine.run()
+    events = cluster.engine.events_executed
+    messages = sum(node.nic.messages_sent for node in cluster.nodes)
+    return {"engine_events": events, "messages": messages,
+            "engine_events_per_message": round(events / messages, 4)}
+
+
+def bench_event_counts() -> dict:
+    return {kind: _message_stream(kind) for kind in ("deposit", "fetch")}
+
+
 def run_all(quick: bool = False) -> dict:
     repeats, number = (2, 10) if quick else (5, 50)
     return {
@@ -316,6 +353,7 @@ def run_all(quick: bool = False) -> dict:
         "fault_fetch": bench_fault_fetch(10 if quick else 40),
         "lock_handoff": bench_lock_handoff(15 if quick else 60),
         "fft_slice": bench_fft_slice("test"),
+        "event_counts": bench_event_counts(),
     }
 
 
@@ -369,6 +407,8 @@ def test_hotpaths_smoke(benchmark):
     assert span["read_array_speedup"] >= 3.0, span
     for section in ("fault_fetch", "lock_handoff", "fft_slice"):
         assert results[section]["wall_s"] > 0
+    for stream in results["event_counts"].values():
+        assert stream["messages"] > 0, results["event_counts"]
 
 
 if __name__ == "__main__":

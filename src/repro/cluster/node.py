@@ -20,7 +20,7 @@ from typing import List, Optional
 from repro.config import ClusterConfig
 from repro.errors import SimulationError
 from repro.net import NIC, RegionTable, VMMC
-from repro.sim import Delay, Engine, Process, Resource
+from repro.sim import Calendar, Delay, Engine, Process
 
 
 class Node:
@@ -35,13 +35,15 @@ class Node:
         self.rng = random.Random(config.seed * 1_000_003 + node_id)
 
         self.regions = RegionTable(node_id)
-        self.bus = Resource(engine, capacity=1, name=f"node{node_id}.bus")
-        contended = config.memory.model_bus_contention
+        #: The memory bus as a reservation calendar, or None when bus
+        #: contention is not modelled.
+        self.bus: Optional[Calendar] = None
+        memory = config.memory
+        if memory.model_bus_contention:
+            self.bus = Calendar(engine, name=f"node{node_id}.bus")
         self.nic = NIC(engine, node_id, config.network, self.rng,
-                       regions=self.regions,
-                       dma_bus=self.bus if contended else None,
-                       dma_bandwidth=config.memory.bus_bandwidth_bytes_per_us
-                       if contended else None)
+                       regions=self.regions, dma_bus=self.bus,
+                       dma_bandwidth=memory.bus_bandwidth_bytes_per_us)
         self.vmmc = VMMC(engine, self.nic, config.costs)
 
         #: Every simulated process running on this node (compute threads,
@@ -59,25 +61,17 @@ class Node:
         self._processes.append(proc)
         return proc
 
-    def adopt(self, proc: Process) -> None:
-        """Register an externally-created process for fail-stop killing."""
-        self._processes.append(proc)
-
     # -- memory-system costs --------------------------------------------------
 
     def mem_copy(self, nbytes: int):
         """Generator charging the time of a local memory copy.
 
-        Holds the bus (if contention modelling is on) for the transfer,
-        at the slower of copy bandwidth vs bus share.
+        Books the bus (if contention modelling is on) for the transfer,
+        after every hold already booked on it.
         """
         duration = self.config.memory.copy_time_us(nbytes)
-        if self.config.memory.model_bus_contention:
-            yield self.bus.acquire()
-            try:
-                yield Delay(duration)
-            finally:
-                self.bus.release()
+        if self.bus is not None:
+            yield self.bus.hold(duration)
         else:
             yield Delay(duration)
 

@@ -294,11 +294,11 @@ class SvmRuntime:
                 return
             self.recovery_manager.report_failure(undetected[0])
             # ``max_sim_us`` bounds runaway event generation, not the
-            # recovery itself: when the event list drained early the
-            # engine fast-forwarded ``now`` to the cap, so reusing it
-            # as the bound would leave recovery's events (scheduled
-            # after ``now``) forever unrunnable. Give each detection
-            # round its own budget instead.
+            # recovery itself: a run stopped at the cap has ``now`` at
+            # the cap, so reusing it as the bound would leave
+            # recovery's events (scheduled after ``now``) forever
+            # unrunnable. Give each detection round its own budget
+            # instead.
             until = (None if max_sim_us is None
                      else self.engine.now + max_sim_us)
             self.engine.run(until=until)

@@ -24,14 +24,10 @@ class LatencyStats:
     total_us: float = 0.0
     min_us: float = math.inf
     max_us: float = 0.0
-    #: Sum of squares for variance (Welford would be overkill here:
-    #: sample magnitudes are microseconds, runs are short).
-    sq_total: float = 0.0
 
     def add(self, value_us: float) -> None:
         self.count += 1
         self.total_us += value_us
-        self.sq_total += value_us * value_us
         if value_us < self.min_us:
             self.min_us = value_us
         if value_us > self.max_us:
@@ -41,18 +37,9 @@ class LatencyStats:
     def mean_us(self) -> float:
         return self.total_us / self.count if self.count else 0.0
 
-    @property
-    def stdev_us(self) -> float:
-        if self.count < 2:
-            return 0.0
-        mean = self.mean_us
-        var = max(self.sq_total / self.count - mean * mean, 0.0)
-        return math.sqrt(var)
-
     def merge(self, other: "LatencyStats") -> None:
         self.count += other.count
         self.total_us += other.total_us
-        self.sq_total += other.sq_total
         self.min_us = min(self.min_us, other.min_us)
         self.max_us = max(self.max_us, other.max_us)
 
@@ -110,7 +97,7 @@ class LatencyBook:
             restored = Log2Histogram.from_dict(hist)
             out._hists[op] = restored
             # Rebuild the coarse stats view so .stats(op).mean_us keeps
-            # working on restored books (min/max/stdev are lost; the
+            # working on restored books (min/max are lost; the
             # histogram is the authoritative record).
             stats = out._stats.setdefault(op, LatencyStats())
             stats.count = restored.count

@@ -45,23 +45,29 @@ class Network:
         except KeyError:
             raise NetworkError(f"no such node {node_id}") from None
 
-    def node_alive(self, node_id: int) -> bool:
-        """Ground-truth liveness (used only by the fabric and by tests;
-        protocol code must discover failures through communication)."""
-        return self.nic(node_id).alive
-
     def transmit(self, msg: Message) -> None:
-        """Accept a fully-serialized message from a sender NIC."""
+        """Accept a fully-serialized message from a sender NIC.
+
+        Latency is constant, so the arrival time is known now: it is
+        booked in the destination NIC's inbound FIFO (transmit order is
+        arrival order), with no delivery event of its own.
+        """
         if msg.dst == msg.src:
             raise NetworkError(f"loopback message not allowed: {msg!r}")
         dst_nic = self.nic(msg.dst)
+        arrival = self.engine.now + self.params.wire_latency_us
+        if dst_nic.alive:
+            dst_nic._book_arrival(arrival, msg)
+        else:
+            self.drop_at(arrival, msg)
 
-        def deliver() -> None:
-            if not dst_nic.alive:
-                self.dropped_messages += 1
-                if msg.completion is not None and not msg.completion.settled:
-                    msg.completion.fail(RemoteNodeFailure(msg.dst))
-                return
-            dst_nic._deliver(msg)
+    def drop_at(self, arrival: float, msg: Message) -> None:
+        """At ``arrival``, count ``msg`` as reaching a dead destination
+        and fail its completion -- the fabric's error return."""
 
-        self.engine.schedule(self.params.wire_latency_us, deliver)
+        def drop() -> None:
+            self.dropped_messages += 1
+            if msg.completion is not None and not msg.completion.settled:
+                msg.completion.fail(RemoteNodeFailure(msg.dst))
+
+        self.engine.schedule_at(arrival, drop)

@@ -3,26 +3,41 @@
 The NIC owns a bounded *post queue* of outgoing messages. Hosts post
 asynchronous sends into it; when it fills, the posting processor blocks
 until the NIC drains it -- this back-pressure at release points is one
-of the contention effects the paper measures. A sender process drains
-the queue (NIC occupancy + wire serialization), then hands the message
-to the :class:`~repro.net.network.Network` for latency and delivery.
+of the contention effects the paper measures.
 
-On the receive side, deposits and fetches are serviced entirely at the
-NIC -- writing into or reading from exported memory regions -- without
-involving the host processor, mirroring VMMC's remote deposit/fetch.
+Each message goes through a fixed pipeline, driven by timed callbacks
+rather than processes -- four engine events per message:
+
+1. sender: the per-message NIC charge ends and the message's DMA books
+   the node memory bus (a :class:`~repro.sim.Calendar`);
+2. sender: the DMA and wire serialization end and the message is
+   transmitted; the :class:`~repro.net.network.Network` books its
+   arrival (constant wire latency) in the receiver's inbound FIFO;
+3. receiver: the per-message charge ends -- it starts at the later of
+   the arrival and the end of the previous message -- and the DMA
+   books the bus;
+4. receiver: the DMA ends and the message is applied.
+
+Without a modelled bus the DMA takes no time, and stages 3 and 4 are
+one event.
+
+Deposits and fetches are serviced entirely at the NIC -- writing into
+or reading from exported memory regions -- without involving the host
+processor, mirroring VMMC's remote deposit/fetch.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.config import NetworkParams
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net.message import Message, MessageKind
 from repro.net.regions import RegionTable
-from repro.sim import Delay, Engine, Event, Store
-from repro.sim.resources import EMPTY, Resource
+from repro.sim import Calendar, Delay, Engine, Event, Store
+from repro.sim.resources import EMPTY
 
 # Hoisted enum members: ``_dispatch`` runs per received message, and a
 # module-global load + identity test beats two attribute loads there.
@@ -42,7 +57,7 @@ class NIC:
     def __init__(self, engine: Engine, node_id: int, params: NetworkParams,
                  rng: random.Random,
                  regions: Optional[RegionTable] = None,
-                 dma_bus: Optional[Resource] = None,
+                 dma_bus: Optional[Calendar] = None,
                  dma_bandwidth: Optional[float] = None) -> None:
         self.engine = engine
         self.node_id = node_id
@@ -51,11 +66,8 @@ class NIC:
         self.rng = rng
         self.regions = regions if regions is not None else RegionTable(node_id)
         #: Memory-bus contention modelling: when ``dma_bus`` is set,
-        #: every DMA transfer holds the bus for ``nbytes /
-        #: dma_bandwidth`` microseconds. (Formerly an opaque generator
-        #: hook; the sender/receiver loops now inline the
-        #: acquire/delay/release, which drops one generator allocation
-        #: and two resume hops per message per side.)
+        #: every DMA transfer books the bus for ``nbytes /
+        #: dma_bandwidth`` microseconds.
         self.dma_bus = dma_bus
         self.dma_bandwidth = dma_bandwidth
         self.alive = True
@@ -79,11 +91,26 @@ class NIC:
 
         self.post_queue = Store(engine, capacity=params.post_queue_depth,
                                 name=f"nic{node_id}.post")
-        self._incoming = Store(engine, name=f"nic{node_id}.in")
+        #: Booked arrivals ``(arrival_time, msg)`` the receive side has
+        #: not started on. Wire latency is constant, so transmit order
+        #: is arrival order and appending keeps it sorted.
+        self._inbound: Deque[Tuple[float, Message]] = deque()
         self._pending_replies: Dict[int, Event] = {}
         self._notify_handlers: Dict[str, Callable[[Message], None]] = {}
         self._services: Dict[str, Callable] = {}
         self._service_procs: list = []
+
+        # Pipeline state. Each side works on at most one message (None
+        # when idle); its pending stage is one scheduler entry, so a
+        # fail-stop cancels it in place.
+        self._tx_msg: Optional[Message] = None
+        self._tx_entry = None
+        self._rx_msg: Optional[Message] = None
+        self._rx_arrival = 0.0
+        self._rx_entry = None
+        #: Process running a receive-side follow-up that blocks the
+        #: receiver (generator NOTIFY handler), killed at fail-stop.
+        self._rx_follow = None
 
         # Counters for the metrics layer.
         self.messages_sent = 0
@@ -93,14 +120,12 @@ class NIC:
         self.post_queue_stalls = 0
         self.messages_shunned = 0
 
-        # Delay objects are immutable once built, so the fixed per-call
-        # charges can reuse one instance instead of allocating ~2 per
-        # message on the sender/receiver hot loops.
+        # Delay objects are immutable once built, so the fixed per-post
+        # host charge reuses one instance.
         self._delay_post = Delay(params.post_overhead_us)
-        self._delay_per_msg = Delay(params.nic_per_message_us)
-
-        self._sender_proc = engine.spawn(self._sender(), f"nic{node_id}.send")
-        self._receiver_proc = engine.spawn(self._receiver(), f"nic{node_id}.recv")
+        self._per_msg_us = params.nic_per_message_us
+        self._transfer_time_us = params.transfer_time_us
+        self._error_rate = params.transient_error_rate
 
     # -- host-side API -----------------------------------------------------
 
@@ -122,11 +147,9 @@ class NIC:
         park event the caller must yield when the queue is full --
         the paper's full-NIC-queue stall of the posting processor.
         """
-        queue = self.post_queue
-        if queue.is_full:
+        if self._tx_msg is not None and self.post_queue.is_full:
             self.post_queue_stalls += 1
-        ev = queue.put(msg)
-        return None if ev._settled else ev
+        return self._enqueue(msg)
 
     def post(self, msg: Message):
         """Post an asynchronous send (generator; host-side cost included).
@@ -188,11 +211,6 @@ class NIC:
         already-dead source keeps the original (earliest) epoch."""
         self.dead_sources.setdefault(node_id, epoch)
 
-    def shunned_epoch(self, node_id: int) -> Optional[int]:
-        """The map epoch under which ``node_id`` was shunned (None if
-        it never was)."""
-        return self.dead_sources.get(node_id)
-
     # -- failure injection ---------------------------------------------------
 
     def fail(self) -> None:
@@ -200,104 +218,148 @@ class NIC:
 
         Messages already on the wire still arrive (they left this NIC);
         messages still in the post queue are lost -- the paper's "no
-        guarantee of success for previous operations" case.
+        guarantee of success for previous operations" case. Messages
+        that arrived here but were not yet applied are lost silently;
+        those still on the wire towards this NIC fail their completion
+        at their arrival time, as any message to a dead node does.
         """
         self.alive = False
-        self._sender_proc.kill()
-        self._receiver_proc.kill()
+        cancel = self.engine.cancel
+        if self._tx_entry is not None:
+            cancel(self._tx_entry)
+        if self._rx_entry is not None:
+            cancel(self._rx_entry)
+        self._tx_entry = self._rx_entry = None
+        self._tx_msg = None
+        if self._rx_msg is not None:
+            self._inbound.appendleft((self._rx_arrival, self._rx_msg))
+            self._rx_msg = None
+        now = self.engine.now
+        for arrival, msg in self._inbound:
+            if arrival >= now:
+                self.network.drop_at(arrival, msg)
+        self._inbound.clear()
+        if self._rx_follow is not None:
+            self._rx_follow.kill()
+            self._rx_follow = None
         for proc in self._service_procs:
             proc.kill()
         self._service_procs.clear()
         self.post_queue.drain()
-        self._incoming.drain()
         self._pending_replies.clear()
 
-    # -- internal processes --------------------------------------------------
+    # -- send side -----------------------------------------------------------
 
-    def _sender(self):
-        # Per-message loop: hoist everything fixed for the NIC's
-        # lifetime out of it (params never change after construction).
-        # ``get_nowait`` skips the Event allocation whenever a message
-        # is already queued; the DMA bus charge is inlined (acquire /
-        # hold for the transfer / release) instead of delegating to a
-        # per-message generator.
-        store = self.post_queue
-        get_nowait = store.get_nowait
-        get = store.get
-        delay_per_msg = self._delay_per_msg
-        bus = self.dma_bus
-        bandwidth = self.dma_bandwidth
-        error_rate = self.params.transient_error_rate
-        transfer_time_us = self.params.transfer_time_us
-        while True:
-            msg = get_nowait()
-            if msg is EMPTY:
-                msg = yield get()
-            yield delay_per_msg
-            if bus is not None:
-                ev = bus.acquire()
-                if not ev._settled:
-                    yield ev
-                try:
-                    # Bare float yield == Delay(float): skips the
-                    # Delay allocation on the per-message hot path.
-                    yield msg.wire_bytes / bandwidth
-                finally:
-                    bus.release()
-            if error_rate > 0.0 and self.rng.random() < error_rate:
-                # VMMC retransmits transparently; only latency is visible.
-                yield Delay(self.params.retransmit_penalty_us)
-            yield transfer_time_us(msg.wire_bytes)
-            self.messages_sent += 1
-            self.bytes_sent += msg.wire_bytes
-            self.network.transmit(msg)
-
-    def _deliver(self, msg: Message) -> None:
-        """Called by the network when a message arrives at this NIC."""
+    def _enqueue(self, msg: Message) -> Optional[Event]:
+        """Hand ``msg`` to the send side: an idle NIC starts on it at
+        once, a busy one queues it. Returns the park event when the
+        post queue is full, else None. A dead NIC loses it."""
         if not self.alive:
-            if msg.completion is not None and not msg.completion.settled:
-                msg.completion.fail(RemoteNodeFailure(self.node_id))
-            return
-        self._incoming.try_put(msg)
+            return None
+        if self._tx_msg is None:
+            self._tx_msg = msg
+            self._tx_entry = self.engine.schedule(self._per_msg_us,
+                                                  self._tx_dma)
+            return None
+        ev = self.post_queue.put(msg)
+        return None if ev._settled else ev
 
-    def _receiver(self):
-        store = self._incoming
-        get_nowait = store.get_nowait
-        get = store.get
-        delay_per_msg = self._delay_per_msg
+    def _tx_dma(self) -> None:
+        """Stage 1: the per-message charge is over; book the DMA."""
+        msg = self._tx_msg
+        engine = self.engine
         bus = self.dma_bus
-        bandwidth = self.dma_bandwidth
-        dispatch = self._dispatch
-        while True:
-            msg = get_nowait()
-            if msg is EMPTY:
-                msg = yield get()
-            yield delay_per_msg
-            if bus is not None:
-                ev = bus.acquire()
-                if not ev._settled:
-                    yield ev
-                try:
-                    # Bare float yield == Delay(float): skips the
-                    # Delay allocation on the per-message hot path.
-                    yield msg.wire_bytes / bandwidth
-                finally:
-                    bus.release()
-            self.messages_received += 1
-            self.bytes_received += msg.wire_bytes
-            follow = dispatch(msg)
-            if follow is not None:
-                yield from follow
+        done = (bus.reserve(msg.wire_bytes / self.dma_bandwidth)
+                if bus is not None else engine.now)
+        if self._error_rate > 0.0:
+            self._tx_entry = engine.schedule_at(done, self._tx_error_draw)
+        else:
+            self._tx_entry = engine.schedule_at(
+                done + self._transfer_time_us(msg.wire_bytes),
+                self._tx_wire)
 
-    def _dispatch(self, msg: Message):
-        """Apply one arrived message; returns a follow-up generator for
-        the receiver to drive when the message needs to block (reply
-        post into a full queue, generator NOTIFY handler), else None.
+    def _tx_error_draw(self) -> None:
+        """Transient link error, drawn when the DMA ends: VMMC
+        retransmits transparently, so only latency is visible."""
+        start = self.engine.now
+        if self.rng.random() < self._error_rate:
+            start = start + self.params.retransmit_penalty_us
+        self._tx_entry = self.engine.schedule_at(
+            start + self._transfer_time_us(self._tx_msg.wire_bytes),
+            self._tx_wire)
 
-        A plain function rather than a generator: most kinds (deposits,
-        replies, acks) never block, so the per-message generator
-        allocation and delegation frame were pure overhead.
-        """
+    def _tx_wire(self) -> None:
+        """Stage 2: serialization is over; transmit, then start on the
+        next queued message."""
+        msg = self._tx_msg
+        self.messages_sent += 1
+        self.bytes_sent += msg.wire_bytes
+        self.network.transmit(msg)
+        msg = self.post_queue.get_nowait()
+        if msg is EMPTY:
+            self._tx_msg = self._tx_entry = None
+        else:
+            self._tx_msg = msg
+            self._tx_entry = self.engine.schedule(self._per_msg_us,
+                                                  self._tx_dma)
+
+    # -- receive side ----------------------------------------------------------
+
+    def _book_arrival(self, arrival: float, msg: Message) -> None:
+        """Called by the network at transmit time with the message's
+        arrival time at this (live) NIC."""
+        self._inbound.append((arrival, msg))
+        if self._rx_msg is None:
+            self._rx_next()
+
+    def _rx_next(self) -> None:
+        """Start on the next booked message, if any: its per-message
+        charge starts once it has arrived and the previous message is
+        done (``now``)."""
+        if not self._inbound:
+            self._rx_msg = None
+            return
+        arrival, self._rx_msg = self._inbound.popleft()
+        self._rx_arrival = arrival
+        engine = self.engine
+        now = engine.now
+        self._rx_entry = engine.schedule_at(
+            (arrival if arrival > now else now) + self._per_msg_us,
+            self._rx_dma)
+
+    def _rx_dma(self) -> None:
+        """Stage 3: the per-message charge is over; book the DMA."""
+        bus = self.dma_bus
+        if bus is None:
+            self._rx_apply()
+            return
+        self._rx_entry = self.engine.schedule_at(
+            bus.reserve(self._rx_msg.wire_bytes / self.dma_bandwidth),
+            self._rx_apply)
+
+    def _rx_apply(self) -> None:
+        """Stage 4: the DMA is over; apply the message. A follow-up
+        that blocks holds the receiver until it settles."""
+        msg = self._rx_msg
+        self._rx_entry = None
+        self.messages_received += 1
+        self.bytes_received += msg.wire_bytes
+        follow = self._dispatch(msg)
+        if follow is None:
+            self._rx_next()
+        else:
+            follow.add_callback(self._rx_resume)
+
+    def _rx_resume(self, _ev: Event) -> None:
+        if not self.alive:
+            return
+        self._rx_follow = None
+        self._rx_next()
+
+    def _dispatch(self, msg: Message) -> Optional[Event]:
+        """Apply one arrived message; returns an event the receiver
+        waits on when the message blocks it (reply post into a full
+        queue, generator NOTIFY handler), else None."""
         if msg.src in self.dead_sources:
             # In-flight remnant of a fail-stopped node: the connection
             # was unmapped when its failure was detected.
@@ -327,9 +389,7 @@ class NIC:
             if reply.op is not None and self.optrace is not None:
                 self.optrace.message_hop("send", reply, self.node_id,
                                          self.engine.now)
-            if self.post_queue.try_put(reply):
-                return None
-            return self._post_blocking(reply)
+            return self._enqueue(reply)
         if kind is _FETCH_REPLY:
             req_id, data = msg.payload
             ev = self._pending_replies.pop(req_id, None)
@@ -340,9 +400,7 @@ class NIC:
             req_id = msg.payload
             ack = Message(MessageKind.PROBE_ACK, self.node_id, msg.src,
                           body_bytes=0, payload=req_id)
-            if self.post_queue.try_put(ack):
-                return None
-            return self._post_blocking(ack)
+            return self._enqueue(ack)
         if kind is _PROBE_ACK:
             req_id = msg.payload
             ev = self._pending_replies.pop(req_id, None)
@@ -377,17 +435,21 @@ class NIC:
                     f"{channel!r}")
             result = handler(msg)
             if result is not None and hasattr(result, "send"):
-                # Generator handler: run it inline at the NIC so its
-                # costs serialize with message processing (FIFO apply
-                # order is what HLRC diff application requires).
-                return self._finish_notify(result, msg)
+                # Generator handler: it starts here, at apply, and the
+                # receiver waits for it so its costs serialize with
+                # message processing (FIFO apply order is what HLRC
+                # diff application requires).
+                proc = self.engine.spawn(
+                    self._finish_notify(result, msg),
+                    f"nic{self.node_id}.notify.{channel}", immediate=True)
+                if proc.done.settled:
+                    return None
+                self._rx_follow = proc
+                return proc.done
             if msg.completion is not None and not msg.completion.settled:
                 msg.completion.succeed(None)
             return None
         raise NetworkError(f"unknown message kind {kind!r}")
-
-    def _post_blocking(self, reply: Message):
-        yield self.post_queue.put(reply)
 
     def _finish_notify(self, gen, msg: Message):
         yield from gen
@@ -418,4 +480,6 @@ class NIC:
         if tracer is not None and self.optrace is not None:
             self.optrace.message_hop("send", reply, self.node_id,
                                      self.engine.now)
-        yield self.post_queue.put(reply)
+        park = self._enqueue(reply)
+        if park is not None:
+            yield park

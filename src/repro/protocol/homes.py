@@ -166,13 +166,6 @@ class HomeMap:
         """All pages with a home hint, i.e. allocated by the app."""
         return sorted(self._page_hint)
 
-    def pages_homed_at(self, node: int, role: str = "primary"
-                       ) -> list[int]:
-        """All pages whose current primary/secondary home is ``node``."""
-        picker = (self.primary_home if role == "primary"
-                  else self.secondary_home)
-        return sorted(p for p in self._page_hint if picker(p) == node)
-
     # -- locks ----------------------------------------------------------------
 
     def lock_hint(self, lock_id: int) -> int:

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Engine, Process, Event, Delay, Mutex, Resource, Store
+    from repro.sim import Engine, Process, Event, Delay, Calendar, Mutex, Store
 
 Two interchangeable implementations sit behind these names: the
 pure-Python reference (:mod:`repro.sim.engine` /
@@ -28,7 +28,7 @@ from repro.sim.engine import (
     PRIORITY_URGENT,
 )
 from repro.sim.process import Interrupted, ProcessKilled
-from repro.sim.resources import Mutex, Resource, Store
+from repro.sim.resources import Calendar, Mutex, Store
 
 __all__ = [
     "ACCELERATED",
@@ -40,8 +40,8 @@ __all__ = [
     "Delay",
     "any_of",
     "timeout_wait",
+    "Calendar",
     "Mutex",
-    "Resource",
     "Store",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",

@@ -857,10 +857,13 @@ Process_kill(ProcessObject *self, PyObject *noargs)
 static int
 Process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"engine", "generator", "name", NULL};
+    static char *kwlist[] = {"engine", "generator", "name", "immediate",
+                             NULL};
     PyObject *engine, *gen, *name = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O|U", kwlist,
-                                     &EngineType, &engine, &gen, &name))
+    int immediate = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O|Up", kwlist,
+                                     &EngineType, &engine, &gen, &name,
+                                     &immediate))
         return -1;
     if (!PyObject_HasAttr(gen, str_send)) {
         PyErr_Format(SimulationError,
@@ -894,6 +897,14 @@ Process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
     Py_CLEAR(self->wake_value);
     self->wake_throw = 0;
     self->alive = 1;
+    if (immediate) {
+        /* First step runs inside the caller (mirrors the pure path). */
+        PyObject *res = process_resume(self);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+        return 0;
+    }
     /* Start at the current time, after already-queued events at now. */
     PyObject *entry = engine_schedule_now_entry((EngineObject *)engine,
                                                 (PyObject *)self);
@@ -1166,17 +1177,31 @@ Engine_schedule_at(EngineObject *self, PyObject *args, PyObject *kwds)
     double time = PyFloat_AsDouble(time_obj);
     if (time == -1.0 && PyErr_Occurred())
         return NULL;
-    double delay = time - self->now;
-    if (delay < 0) {
-        PyObject *d = PyFloat_FromDouble(delay);
-        if (d == NULL)
-            return NULL;
-        PyErr_Format(SimulationError,
-                     "cannot schedule in the past (delay=%S)", d);
-        Py_DECREF(d);
+    if (time < self->now) {
+        PyObject *t = PyFloat_FromDouble(time);
+        PyObject *n = PyFloat_FromDouble(self->now);
+        if (t != NULL && n != NULL)
+            PyErr_Format(SimulationError,
+                         "cannot schedule in the past (time=%S, now=%S)",
+                         t, n);
+        Py_XDECREF(t);
+        Py_XDECREF(n);
         return NULL;
     }
-    return engine_schedule_entry(self, delay, action, priority);
+    /* The entry carries ``time`` itself, not ``now + (time - now)``:
+     * a completion booked ahead fires at exactly the float it was
+     * booked for (mirrors the pure engine). */
+    PyObject *entry = make_entry(self, time, priority, action);
+    if (entry == NULL)
+        return NULL;
+    int err = (time == self->now && priority == PRIO_NORMAL)
+                  ? ring_push(self, entry)
+                  : heap_push(self, entry);
+    if (err < 0) {
+        Py_DECREF(entry);
+        return NULL;
+    }
+    return entry;
 }
 
 static PyObject *
@@ -1195,16 +1220,29 @@ Engine_cancel(PyObject *cls, PyObject *handle)
 static PyObject *
 Engine_spawn(EngineObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"generator", "name", NULL};
+    static char *kwlist[] = {"generator", "name", "immediate", NULL};
     PyObject *gen, *name = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|U", kwlist,
-                                     &gen, &name))
+    int immediate = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|Up", kwlist,
+                                     &gen, &name, &immediate))
         return NULL;
-    if (name != NULL)
-        return PyObject_CallFunction((PyObject *)&ProcessType, "OOO",
-                                     (PyObject *)self, gen, name);
-    return PyObject_CallFunction((PyObject *)&ProcessType, "OO",
-                                 (PyObject *)self, gen);
+    PyObject *pargs = (name != NULL)
+                          ? PyTuple_Pack(3, (PyObject *)self, gen, name)
+                          : PyTuple_Pack(2, (PyObject *)self, gen);
+    if (pargs == NULL)
+        return NULL;
+    PyObject *kw = NULL;
+    if (immediate) {
+        kw = Py_BuildValue("{s:O}", "immediate", Py_True);
+        if (kw == NULL) {
+            Py_DECREF(pargs);
+            return NULL;
+        }
+    }
+    PyObject *proc = PyObject_Call((PyObject *)&ProcessType, pargs, kw);
+    Py_DECREF(pargs);
+    Py_XDECREF(kw);
+    return proc;
 }
 
 static PyObject *
@@ -1304,6 +1342,8 @@ Engine_run(EngineObject *self, PyObject *args, PyObject *kwds)
         }
         double t = PyFloat_AsDouble(PyList_GET_ITEM(head, 0));
         if (has_until && t > until) {
+            /* Stopped at the cap with work still pending; a list that
+             * drains first leaves ``now`` at its last event. */
             self->now = until;
             self->running = 0;
             Py_RETURN_NONE;
@@ -1332,8 +1372,6 @@ Engine_run(EngineObject *self, PyObject *args, PyObject *kwds)
             Py_RETURN_NONE;
         }
     }
-    if (has_until && until > self->now)
-        self->now = until;
     self->running = 0;
     Py_RETURN_NONE;
 
@@ -1477,7 +1515,8 @@ static PyMethodDef Engine_methods[] = {
     {"cancel", (PyCFunction)Engine_cancel, METH_O | METH_STATIC,
      "Prevent a scheduled action from running."},
     {"spawn", (PyCFunction)Engine_spawn, METH_VARARGS | METH_KEYWORDS,
-     "Create and start a Process running ``generator``."},
+     "Create and start a Process running ``generator``; with "
+     "``immediate=True`` its first step runs inside the caller."},
     {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS,
      "Run events until the list drains, ``until`` passes, or "
      "``max_events`` have executed."},

@@ -121,8 +121,22 @@ class Engine:
 
     def schedule_at(self, time: float, action: Callable[[], None],
                     priority: int = PRIORITY_NORMAL) -> List[Any]:
-        """Schedule ``action()`` at an absolute simulated time."""
-        return self.schedule(time - self._now, action, priority)
+        """Schedule ``action()`` at an absolute simulated time.
+
+        The entry carries ``time`` itself, not ``now + (time - now)``:
+        a completion booked ahead (a memory-bus reservation's end)
+        fires at exactly the float it was booked for.
+        """
+        now = self._now
+        if time < now:
+            raise SimulationError(
+                f"cannot schedule in the past (time={time}, now={now})")
+        entry = [time, priority, self._seq(), action]
+        if time == now and priority == PRIORITY_NORMAL:
+            self._fifo.append(entry)
+        else:
+            _heappush(self._heap, entry)
+        return entry
 
     @staticmethod
     def cancel(handle: List[Any]) -> None:
@@ -132,11 +146,18 @@ class Engine:
         """
         handle[3] = None
 
-    def spawn(self, generator: Any, name: str = "process") -> "Process":
-        """Create and start a :class:`Process` running ``generator``."""
+    def spawn(self, generator: Any, name: str = "process",
+              immediate: bool = False) -> "Process":
+        """Create and start a :class:`Process` running ``generator``.
+
+        The first step runs from a zero-delay event, after the events
+        already queued at ``now``; with ``immediate`` it runs inside the
+        caller instead, for a follow-up that must begin exactly where
+        its caller stands.
+        """
         # Imported here to avoid a circular import at module load.
         from repro.sim.process import Process
-        return Process(self, generator, name=name)
+        return Process(self, generator, name=name, immediate=immediate)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -144,6 +165,10 @@ class Engine:
         ``max_events`` have executed.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
+        ``now`` ends at ``until`` only when the next event lies beyond
+        it; a list that drains first leaves ``now`` at its last event,
+        so a capped run reports the same elapsed time as an uncapped
+        one.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
@@ -203,8 +228,6 @@ class Engine:
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     return
-            if until is not None:
-                self._now = max(self._now, until)
         finally:
             self._running = False
 

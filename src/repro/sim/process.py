@@ -144,13 +144,14 @@ class Event:
 class Process:
     """Drives a generator through the engine.
 
-    The process starts automatically at the current simulated time. Its
-    completion is observable through :attr:`done`, an :class:`Event` that
-    succeeds with the generator's return value.
+    The process starts automatically at the current simulated time
+    (inside the creating call when ``immediate``). Its completion is
+    observable through :attr:`done`, an :class:`Event` that succeeds
+    with the generator's return value.
     """
 
     def __init__(self, engine: Engine, generator: Generator,
-                 name: str = "process") -> None:
+                 name: str = "process", immediate: bool = False) -> None:
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process needs a generator, got {type(generator).__name__} "
@@ -171,8 +172,11 @@ class Process:
         self._wake_throw = False
         self._resume: Callable[[], None] = self._do_resume
         self._event_cb: Callable[[Event], None] = self._on_event_settled
-        # Start at the current time, after already-queued events at `now`.
-        self._pending_resume = engine.schedule_now(self._resume)
+        if immediate:
+            self._do_resume()
+        else:
+            # Start at the current time, after already-queued events.
+            self._pending_resume = engine.schedule_now(self._resume)
 
     @property
     def alive(self) -> bool:

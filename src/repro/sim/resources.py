@@ -4,8 +4,8 @@ Three primitives cover every need in the library:
 
 * :class:`Mutex` -- FIFO mutual exclusion (intra-node protocol locks,
   serialized releases).
-* :class:`Resource` -- counted capacity with FIFO queuing (memory-bus
-  and DMA-engine occupancy).
+* :class:`Calendar` -- FIFO reservation calendar for a resource whose
+  users know their hold time up front (memory-bus occupancy).
 * :class:`Store` -- an unbounded-or-bounded FIFO of items (NIC post
   queues, message delivery queues).
 
@@ -20,11 +20,11 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim._core import Event
+from repro.sim._core import Delay, Event
 from repro.sim.engine import Engine
 
 #: Shared, permanently-settled grant event. Every uncontended
-#: ``Mutex.acquire``/``Resource.acquire`` and every accepted
+#: ``Mutex.acquire`` and every accepted
 #: ``Store.put`` settles with ``succeed(None)`` before the caller can
 #: observe it, so they can all hand back one immortal pre-settled event
 #: instead of allocating a fresh one -- tens of thousands of Event
@@ -83,53 +83,53 @@ class Mutex:
             self._locked = False
 
 
-class Resource:
-    """Counted resource with FIFO queuing.
+class Calendar:
+    """FIFO reservation calendar for a one-at-a-time resource (the
+    node memory bus).
 
-    Used for occupancy modelling: a DMA engine is ``Resource(capacity=1)``,
-    a memory bus that admits one transfer at a time likewise. Usage::
-
-        yield bus.acquire()
-        try:
-            yield Delay(transfer_time)
-        finally:
-            bus.release()
+    Every user knows its hold time when it asks, so a request is
+    booked in full on the spot: the hold starts at ``max(now,
+    free_at)`` and ``free_at`` moves to its end. Nothing is released
+    and no waiter is woken. Requests are made in event order, so each
+    start equals the grant time of a FIFO queue whose holders release
+    exactly when their hold ends. Callbacks schedule their completion
+    at the :meth:`reserve` result with ``Engine.schedule_at``;
+    processes yield :meth:`hold`.
     """
 
-    def __init__(self, engine: Engine, capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
+    __slots__ = ("engine", "name", "free_at", "_hold_name")
+
+    def __init__(self, engine: Engine, name: str = "calendar") -> None:
         self.engine = engine
         self.name = name
-        self._acquire_name = name + ".acquire"
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._hold_name = name + ".hold"
+        #: Absolute time at which the last booked hold ends.
+        self.free_at = 0.0
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
+    def reserve(self, hold: float) -> float:
+        """Book ``hold`` time units at the first free slot; returns the
+        absolute time at which the hold ends."""
+        if hold < 0:
+            raise SimulationError(f"negative hold on {self.name!r}: {hold}")
+        start = self.free_at
+        now = self.engine.now
+        if start < now:
+            start = now
+        end = self.free_at = start + hold
+        return end
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return _GRANTED
-        ev = Event(self.engine, self._acquire_name)
-        self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self._in_use -= 1
+    def hold(self, duration: float) -> Any:
+        """Yieldable for a process occupying the resource for
+        ``duration``: a plain :class:`Delay` when it is free now, else
+        an event that settles at the booked end."""
+        engine = self.engine
+        if self.free_at <= engine.now:
+            delay = Delay(duration)
+            self.free_at = engine.now + duration
+            return delay
+        done = Event(engine, self._hold_name)
+        engine.schedule_at(self.reserve(duration), done.succeed)
+        return done
 
 
 class Store:

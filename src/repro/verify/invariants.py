@@ -526,13 +526,3 @@ class RecoveryInvariantChecker:
                     f"{phase} diff of page {page} (writer {writer}, "
                     f"seq {seq}) was sent to live node {target} "
                     f"{sent}x but never applied")
-
-    def assert_clean(self) -> None:
-        """Finalize and fail loudly on any finding (strict or not)."""
-        strict, self.strict = self.strict, False
-        try:
-            findings = self.finalize()
-        finally:
-            self.strict = strict
-        if findings:
-            raise InvariantViolation(findings)

@@ -68,3 +68,18 @@ def test_with_protocol_copies():
     assert not config.protocol.is_ft
     assert ft.protocol.is_ft
     assert ft.num_nodes == config.num_nodes
+
+
+def test_capped_run_reports_uncapped_elapsed_time():
+    """A ``max_sim_us`` cap the run never reaches leaves the result
+    alone: the clock stops at the last event, not at the cap."""
+    from repro.harness.runner import SvmRuntime
+
+    def elapsed(cap):
+        config = evaluation_config("ft", 1, seed=2003)
+        runtime = SvmRuntime(config, workload_factories("test")["FFT"]())
+        return runtime.run(max_sim_us=cap).elapsed_us
+
+    uncapped = elapsed(None)
+    assert uncapped < 100_000.0
+    assert elapsed(2_000_000.0) == uncapped

@@ -132,3 +132,33 @@ def test_probe_self_is_true_without_traffic():
     engine.run()
     assert results == [True]
     assert network.nic(0).messages_sent == 0
+
+
+def test_in_flight_message_to_nic_that_dies_fails_at_arrival():
+    """A message already transmitted towards a NIC that dies before it
+    arrives fails its waiter with RemoteNodeFailure at the arrival
+    time, whether it was the receiver's next message or queued behind
+    it, and counts as dropped."""
+    params = NetworkParams()
+    engine, network, (a, b, c) = make_net(params=params)
+    network.nic(1).regions.export("buf", 64)
+    outcomes = []
+
+    def sender(ep):
+        try:
+            yield from ep.remote_deposit(1, "buf", 0, b"data", wait=True)
+            outcomes.append((ep.node_id, "ok"))
+        except RemoteNodeFailure as exc:
+            outcomes.append((ep.node_id, exc.node_id, engine.now))
+
+    engine.spawn(sender(a))
+    engine.spawn(sender(c))
+    # Both transmit at post + NIC charge + serialization and arrive one
+    # wire latency later; node 1 dies in between.
+    arrival = (params.post_overhead_us + params.nic_per_message_us
+               + params.transfer_time_us(32 + 4) + params.wire_latency_us)
+    engine.schedule(5.0, network.nic(1).fail)
+    engine.run()
+    assert outcomes == [(0, 1, arrival), (2, 1, arrival)]
+    assert network.dropped_messages == 2
+    assert network.nic(1).messages_received == 0

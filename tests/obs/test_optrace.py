@@ -31,7 +31,7 @@ GOLDEN_SCENARIO = dict(program_seed=145, cluster_seed=1,
 # sha256 over the canonical causal-tree serialization for that
 # scenario: same seeds => same digest, on any host, job count or core.
 GOLDEN_OPTRACE_DIGEST = (
-    "af1650272cff65ea2e8a6b5a74e9fbeb439680fec692532adfd66693bda0c4cb")
+    "e5108490df505966189520d85eafb477072badc48c206271269b8959eeeab9ff")
 
 REPO = Path(__file__).resolve().parents[2]
 CCORE_BUILT = importlib.util.find_spec("repro.sim._ccore") is not None
@@ -211,7 +211,7 @@ def test_flow_events_pair_and_overlay_on_recorder_trace():
     # events do not perturb the recorder's own golden digest (same
     # constant as tests/obs/test_recorder.py).
     assert recorder.digest() == (
-        "df466545735a9889a1c90db7d65be41511c462f2a724182e26c67bf301757901")
+        "335b5c91d86101f246e19a5cfcfab08b7e141a5151a00240b03b0242127d0c13")
     body = json.loads(recorder.to_json(counters=flows))
     phases = {ev["ph"] for ev in body["traceEvents"]}
     assert phases <= {"B", "E", "i", "M", "C", "s", "f"}

@@ -21,7 +21,7 @@ from repro.verify.replay import ReplayScenario, build_runtime
 GOLDEN_SCENARIO = dict(program_seed=145, cluster_seed=1,
                        plan_seed=533, failures=2)
 GOLDEN_DIGEST = (
-    "df466545735a9889a1c90db7d65be41511c462f2a724182e26c67bf301757901")
+    "335b5c91d86101f246e19a5cfcfab08b7e141a5151a00240b03b0242127d0c13")
 
 
 def _record(scenario=None):

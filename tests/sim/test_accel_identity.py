@@ -34,7 +34,7 @@ needs_ccore = pytest.mark.skipif(
 # Must match tests/obs/test_recorder.py -- the committed golden digest
 # for the flagship two-failure scenario.
 GOLDEN_DIGEST = (
-    "df466545735a9889a1c90db7d65be41511c462f2a724182e26c67bf301757901")
+    "335b5c91d86101f246e19a5cfcfab08b7e141a5151a00240b03b0242127d0c13")
 
 
 def _run_snippet(snippet: str, pure: bool, extra_env=None) -> dict:

@@ -50,6 +50,13 @@ def test_run_until_stops_clock_at_bound():
     assert fired == [1]
 
 
+def test_run_until_leaves_clock_at_last_event_when_list_drains():
+    engine = Engine()
+    engine.schedule(3.0, lambda: None)
+    engine.run(until=100.0)
+    assert engine.now == 3.0
+
+
 def test_run_until_is_inclusive():
     engine = Engine()
     fired = []

@@ -30,6 +30,29 @@ def test_delay_advances_time():
     assert trace == [0.0, 10.0, 15.0]
 
 
+def test_immediate_spawn_runs_first_step_inside_caller():
+    engine = Engine()
+    trace = []
+
+    def proc(tag):
+        trace.append((tag, engine.now))
+        yield Delay(2.0)
+        trace.append((tag, engine.now))
+
+    def parent():
+        engine.spawn(proc("deferred"))
+        engine.spawn(proc("immediate"), immediate=True)
+        trace.append(("parent", engine.now))
+
+    engine.schedule(1.0, parent)
+    engine.run()
+    assert trace == [("immediate", 1.0), ("parent", 1.0),
+                     ("deferred", 1.0), ("immediate", 3.0),
+                     ("deferred", 3.0)]
+    # Two resumes each, less the immediate start, plus ``parent``.
+    assert engine.events_executed == 4
+
+
 def test_process_done_event_carries_return_value():
     engine = Engine()
 

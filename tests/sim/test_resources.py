@@ -1,9 +1,9 @@
-"""Unit tests for Mutex, Resource, and Store primitives."""
+"""Unit tests for Mutex, Calendar, and Store primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Delay, Engine, Mutex, Resource, Store
+from repro.sim import Calendar, Delay, Engine, Mutex, Store
 
 
 def test_mutex_provides_mutual_exclusion():
@@ -59,36 +59,42 @@ def test_mutex_release_unlocked_raises():
         Mutex(engine).release()
 
 
-def test_resource_capacity_limits_concurrency():
+def test_calendar_grants_in_request_order():
+    """Holds book back to back in request order, each from the later of
+    ``now`` and the previous hold's end -- a FIFO queue's grant times."""
     engine = Engine()
-    res = Resource(engine, capacity=2)
-    active = []
-    peak = []
+    bus = Calendar(engine)
+    ends = []
 
-    def worker():
-        yield res.acquire()
-        active.append(1)
-        peak.append(len(active))
-        yield Delay(10.0)
-        active.pop()
-        res.release()
+    def book(hold):
+        ends.append(bus.reserve(hold))
 
-    for _ in range(5):
-        engine.spawn(worker())
+    engine.schedule(1.0, lambda: book(4.0))
+    engine.schedule(2.0, lambda: book(3.0))   # waits for 5.0
+    engine.schedule(20.0, lambda: book(2.0))  # bus idle again
     engine.run()
-    assert max(peak) == 2
-    assert engine.now == 30.0  # 5 jobs of 10us through 2 slots: ceil(5/2)*10
+    assert ends == [5.0, 8.0, 22.0]
+    assert bus.free_at == 22.0
 
 
-def test_resource_rejects_bad_capacity():
-    with pytest.raises(SimulationError):
-        Resource(Engine(), capacity=0)
-
-
-def test_resource_release_when_idle_raises():
+def test_calendar_hold_blocks_process_until_booked_end():
     engine = Engine()
+    bus = Calendar(engine)
+    done = []
+
+    def worker(name, hold):
+        yield bus.hold(hold)
+        done.append((name, engine.now))
+
+    for name, hold in (("a", 10.0), ("b", 5.0), ("c", 1.0)):
+        engine.spawn(worker(name, hold))
+    engine.run()
+    assert done == [("a", 10.0), ("b", 15.0), ("c", 16.0)]
+
+
+def test_calendar_rejects_negative_hold():
     with pytest.raises(SimulationError):
-        Resource(engine).release()
+        Calendar(Engine()).reserve(-1.0)
 
 
 def test_store_fifo_get_put():

@@ -23,7 +23,11 @@ Two kinds of gate:
   fast path still blows through the band because the calibration does
   not move with protocol code. When either file lacks a calibration
   (pre-rescale baselines), the checker warns and falls back to the raw
-  compare.
+  compare;
+* **exact** metrics (engine events per NIC message) are deterministic
+  work counts, identical on every machine and build: any increase over
+  the baseline fails, whatever the tolerance. Lowering one is a
+  deliberate baseline update.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import json
 import sys
 
 #: (json path, kind) -- "higher" metrics must stay >= baseline/tol,
-#: "lower" metrics must stay <= baseline*tol (calibration-rescaled).
+#: "lower" metrics must stay <= baseline*tol (calibration-rescaled),
+#: "exact" metrics must stay <= baseline.
 GATES = [
     (("diff", "sparse", "speedup"), "higher"),
     (("diff", "dense", "speedup"), "higher"),
@@ -45,6 +50,8 @@ GATES = [
     (("fault_fetch", "host_us_per_fault"), "lower"),
     (("lock_handoff", "host_us_per_acquire"), "lower"),
     (("merge", "merge_8diffs_us"), "lower"),
+    (("event_counts", "deposit", "engine_events_per_message"), "exact"),
+    (("event_counts", "fetch", "engine_events_per_message"), "exact"),
 ]
 
 
@@ -87,12 +94,18 @@ def check(baseline: dict, fresh: dict, tolerance: float) -> list:
             bound = base / tolerance
             ok = now >= bound
             rel = "<" if not ok else ">="
+        elif kind == "exact":
+            # Deterministic work counts: no tolerance at all.
+            bound = base
+            ok = now <= bound
+            rel = ">" if not ok else "<="
         else:
             bound = base * tolerance * (scale if scale is not None else 1.0)
             ok = now <= bound
             rel = ">" if not ok else "<="
+        band = "exact" if kind == "exact" else f"tolerance {tolerance}x"
         line = (f"{name}: {now} {rel} bound {bound:.2f} "
-                f"(baseline {base}, tolerance {tolerance}x)")
+                f"(baseline {base}, {band})")
         print(("FAIL  " if not ok else "  ok  ") + line)
         if not ok:
             failures.append(line)

@@ -3,7 +3,8 @@
 from tests.tools.check_bench_regression import check
 
 
-def _results(calibration=20.0, fault_us=300.0, speedup=10.0):
+def _results(calibration=20.0, fault_us=300.0, speedup=10.0,
+             events_per_message=5.0):
     return {
         "calibration_us": calibration,
         "diff": {kind: {"speedup": speedup} for kind in
@@ -14,6 +15,9 @@ def _results(calibration=20.0, fault_us=300.0, speedup=10.0):
         "fault_fetch": {"host_us_per_fault": fault_us},
         "lock_handoff": {"host_us_per_acquire": fault_us},
         "merge": {"merge_8diffs_us": fault_us / 10},
+        "event_counts": {
+            kind: {"engine_events_per_message": events_per_message}
+            for kind in ("deposit", "fetch")},
     }
 
 
@@ -58,3 +62,15 @@ def test_metric_missing_from_baseline_is_skipped():
     baseline = _results()
     del baseline["span_access"]
     assert check(baseline, _results(), tolerance=2.0) == []
+
+
+def test_event_count_gate_fails_on_any_increase():
+    # Work counts are exact: a slow machine or a loose tolerance must
+    # not forgive one more event per message, and fewer events pass.
+    baseline = _results(events_per_message=5.0)
+    fresh = _results(calibration=60.0, events_per_message=5.0625)
+    failures = check(baseline, fresh, tolerance=2.0)
+    assert len(failures) == 2
+    assert all("engine_events_per_message" in f for f in failures)
+    assert check(baseline, _results(events_per_message=4.5),
+                 tolerance=2.0) == []
